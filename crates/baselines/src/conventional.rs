@@ -38,9 +38,8 @@ pub fn conventional(
 ///
 /// Module binding never looks at the spec's arrival or probability profiles — only at
 /// variable names and widths — so two design points that differ solely in their input
-/// profiles synthesize structurally identical netlists. The exploration engine relies
-/// on this to re-analyse profile-only re-runs through the incremental delta path
-/// instead of a full timing + power bundle.
+/// profiles synthesize structurally identical netlists, and the exploration engine's
+/// per-worker sim cache reuses one compiled block program across them.
 ///
 /// # Errors
 ///

@@ -23,9 +23,10 @@ use std::fmt;
 ///
 /// The two module-binding flows (`conventional`, `csa_opt`) build their netlists
 /// without ever running timing or power, so they can hand back an
-/// [`FlowSynthesis::Unanalyzed`] netlist for the caller to analyse — possibly through
-/// the incremental delta path when a structurally identical program is already
-/// cached. The FA-tree flows analyse *during* construction (arrival-ordered and
+/// [`FlowSynthesis::Unanalyzed`] netlist. The exploration engine uses the split only
+/// to key its persistent store by the synthesized netlist before paying for the
+/// analysis, which [`FlowResult::analyze`] then runs exactly as [`Flow::run`] would.
+/// The FA-tree flows analyse *during* construction (arrival-ordered and
 /// probability-ordered selection need live analysis values), so splitting would only
 /// run the analyses twice; they return the finished [`FlowSynthesis::Analyzed`]
 /// result instead.

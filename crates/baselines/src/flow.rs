@@ -92,8 +92,9 @@ impl From<dpsyn_core::SynthesisError> for BaselineError {
 /// profiles, keyed by net.
 ///
 /// This is the exact profile-extraction loop of [`FlowResult::analyze`], shared with
-/// the exploration engine's delta path so both paths feed analyses **the same values
-/// for the same nets** — a precondition for bit-identical reports.
+/// the exploration engine's store keys (which digest the profiles) and with callers
+/// that re-analyse a netlist through the incremental delta path, so every consumer
+/// sees **the same values for the same nets**.
 pub fn input_profiles(
     word_map: &WordMap,
     spec: &InputSpec,

@@ -24,44 +24,17 @@
 //! ```
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dpsyn_baselines::Flow;
-use dpsyn_explore::{
-    explore, explore_with_store, BiasProfile, ExplorationSpec, ResultStore, SkewProfile,
-};
+use dpsyn_explore::{explore, explore_with_store, ExplorationSpec, ResultStore};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Minimum end-to-end cold/warm speedup the gate enforces.
 const SPEEDUP_FLOOR: f64 = 5.0;
 
-/// The same 216-job matrix the `explore` binary's full sweep runs (four benchmark
-/// designs plus an 8-operand sum workload × widths × skews × biases × six flows),
-/// pinned to two workers so the measurement is host-independent.
+/// The same 216-job matrix the `explore` binary's full sweep runs, pinned to two
+/// workers so the measurement is host-independent.
 fn full_spec() -> ExplorationSpec {
-    ExplorationSpec::builder()
-        .designs([
-            dpsyn_designs::x2_x_y(),
-            dpsyn_designs::mixed_poly(),
-            dpsyn_designs::iir(),
-            dpsyn_designs::serial_adapter(),
-        ])
-        .sum_workload(8)
-        .widths([8, 12])
-        .skews([
-            SkewProfile::Keep,
-            SkewProfile::Uniform(2.0),
-            SkewProfile::Uniform(4.0),
-        ])
-        .biases([BiasProfile::Keep, BiasProfile::Uniform(0.3)])
-        .flows([
-            Flow::Conventional,
-            Flow::CsaOpt,
-            Flow::WallaceFixed,
-            Flow::FaRandom(8),
-            Flow::FaAot,
-            Flow::FaAlp,
-        ])
-        .seed(7)
+    dpsyn_bench::explore_full_sweep()
         .threads(2)
         .build()
         .expect("full sweep spec is well-formed")

@@ -131,8 +131,8 @@ fn conventional_iir_workload(tech: &TechLibrary) -> Workload {
     }
 }
 
-/// The full compiled per-point bundle, exactly as the engine's non-cached path pays
-/// it: compile, resolve-and-run timing, resolve-and-run power, fold the area.
+/// The full compiled per-point bundle, exactly as `FlowResult::analyze` pays it:
+/// compile, resolve-and-run timing, resolve-and-run power, fold the area.
 fn full_point(
     netlist: &Netlist,
     tech: &TechLibrary,

@@ -11,10 +11,10 @@
 //! ```
 //!
 //! The worker count defaults to the host's available parallelism (the spec builder's
-//! default), and the work-stealing scheduler's per-run stats — chunks, jobs, steals
-//! and store hits per worker — are reported on stderr. `--smoke` additionally re-runs
-//! its matrix single-threaded and asserts the rendered summary is byte-identical —
-//! the engine's determinism contract, checked end to end.
+//! default), and the per-run stats — jobs, store hits, sim builds and sim reuses per
+//! worker — are reported on stderr. `--smoke` additionally re-runs its matrix
+//! single-threaded and asserts the rendered summary is byte-identical — the
+//! engine's determinism contract, checked end to end.
 //!
 //! `--store <path>` attaches the persistent cross-run result store: a re-run of the
 //! same sweep against a warm memo file collapses to lookups (watch the store-hit
@@ -30,7 +30,7 @@
 
 use dpsyn_baselines::Flow;
 use dpsyn_explore::{
-    explore, explore_with_stats, BiasProfile, ExplorationSpec, ExplorationSpecBuilder, SkewProfile,
+    explore, explore_with_stats, ExplorationSpec, ExplorationSpecBuilder, SkewProfile,
 };
 use std::path::PathBuf;
 
@@ -43,35 +43,6 @@ fn smoke_spec() -> ExplorationSpecBuilder {
         .width(4)
         .skews([SkewProfile::Keep, SkewProfile::Uniform(2.0)])
         .flows([Flow::Conventional, Flow::CsaOpt, Flow::FaAot, Flow::FaAlp])
-        .seed(7)
-}
-
-/// The full sweep: four benchmark designs plus an 8-operand sum workload, crossed
-/// with three skew and two bias profiles over all six flows (216 jobs).
-fn full_spec() -> ExplorationSpecBuilder {
-    ExplorationSpec::builder()
-        .designs([
-            dpsyn_designs::x2_x_y(),
-            dpsyn_designs::mixed_poly(),
-            dpsyn_designs::iir(),
-            dpsyn_designs::serial_adapter(),
-        ])
-        .sum_workload(8)
-        .widths([8, 12])
-        .skews([
-            SkewProfile::Keep,
-            SkewProfile::Uniform(2.0),
-            SkewProfile::Uniform(4.0),
-        ])
-        .biases([BiasProfile::Keep, BiasProfile::Uniform(0.3)])
-        .flows([
-            Flow::Conventional,
-            Flow::CsaOpt,
-            Flow::WallaceFixed,
-            Flow::FaRandom(8),
-            Flow::FaAot,
-            Flow::FaAlp,
-        ])
         .seed(7)
 }
 
@@ -95,7 +66,11 @@ fn main() {
         return;
     }
     let smoke = args.iter().any(|arg| arg == "--smoke");
-    let builder = if smoke { smoke_spec() } else { full_spec() };
+    let builder = if smoke {
+        smoke_spec()
+    } else {
+        dpsyn_bench::explore_full_sweep()
+    };
     let builder = match &store {
         Some(path) => builder.store(path.clone()),
         None => builder,
@@ -129,8 +104,11 @@ fn main() {
     }
     for (worker, worker_stats) in stats.workers.iter().enumerate() {
         eprintln!(
-            "worker {worker}: {} chunk(s), {} job(s), {} steal(s), {} store hit(s)",
-            worker_stats.chunks, worker_stats.jobs, worker_stats.steals, worker_stats.store_hits
+            "worker {worker}: {} job(s), {} store hit(s), {} sim build(s), {} sim reuse(s)",
+            worker_stats.jobs,
+            worker_stats.store_hits,
+            worker_stats.sim_builds,
+            worker_stats.sim_reuses
         );
     }
     if !results.quarantined().is_empty() {
@@ -141,9 +119,7 @@ fn main() {
     }
     let (busiest, laziest) = stats.job_spread();
     eprintln!(
-        "scheduler: {} total steal(s), {} store hit(s), busiest/laziest worker ran \
-         {busiest}/{laziest} job(s)",
-        stats.total_steals(),
+        "scheduler: {} store hit(s), busiest/laziest worker ran {busiest}/{laziest} job(s)",
         stats.total_store_hits()
     );
     let summary = results.render_summary();

@@ -24,7 +24,9 @@
 use dpsyn_baselines::Flow;
 use dpsyn_core::{sc_t, Objective, SelectionStrategy, Synthesizer};
 use dpsyn_designs::Design;
-use dpsyn_explore::{explore, BiasProfile, ExplorationResults, ExplorationSpec, SkewProfile};
+use dpsyn_explore::{
+    explore, BiasProfile, ExplorationResults, ExplorationSpec, ExplorationSpecBuilder, SkewProfile,
+};
 use dpsyn_ir::{BitProfile, InputSpec};
 use dpsyn_power::q_transform;
 use dpsyn_tech::TechLibrary;
@@ -91,6 +93,36 @@ fn improvement(baseline: f64, ours: f64) -> f64 {
     } else {
         (baseline - ours) / baseline
     }
+}
+
+/// The `explore` binary's full sweep: four benchmark designs plus an 8-operand sum
+/// workload, crossed with two widths, three skew and two bias profiles over six
+/// flows (216 jobs). The caller picks the worker count.
+pub fn explore_full_sweep() -> ExplorationSpecBuilder {
+    ExplorationSpec::builder()
+        .designs([
+            dpsyn_designs::x2_x_y(),
+            dpsyn_designs::mixed_poly(),
+            dpsyn_designs::iir(),
+            dpsyn_designs::serial_adapter(),
+        ])
+        .sum_workload(8)
+        .widths([8, 12])
+        .skews([
+            SkewProfile::Keep,
+            SkewProfile::Uniform(2.0),
+            SkewProfile::Uniform(4.0),
+        ])
+        .biases([BiasProfile::Keep, BiasProfile::Uniform(0.3)])
+        .flows([
+            Flow::Conventional,
+            Flow::CsaOpt,
+            Flow::WallaceFixed,
+            Flow::FaRandom(8),
+            Flow::FaAot,
+            Flow::FaAlp,
+        ])
+        .seed(7)
 }
 
 /// Runs `flows` over every design through the exploration engine (all cores, capped

@@ -43,8 +43,9 @@ proptest! {
                      "SC_T {} vs random {}", ours_latest, other_latest);
     }
 
-    /// SC_LP's accumulated switching energy never exceeds that of a random allocation
-    /// by more than numerical noise ... and probabilities always stay legal.
+    /// SC_LP on a random column leaves at most 2 addends, keeps every remaining and
+    /// carry probability in [0, 1], and accumulates non-negative switching energy.
+    /// (It is not compared against other allocations here.)
     #[test]
     fn sc_lp_probabilities_stay_legal(probabilities in prop::collection::vec(0.0f64..=1.0, 3..12)) {
         let outcome = sc_lp(&probabilities, 1.0, 0.8, 0.6, 0.4);

@@ -1,11 +1,11 @@
-//! The work-stealing, multi-threaded exploration engine.
+//! The multi-threaded exploration engine: workers claim jobs one at a time from a
+//! shared cursor.
 
-use crate::cache::{CompiledCache, Evaluated, PointProfiles};
 use crate::error::ExploreError;
 use crate::job::Job;
 use crate::pareto::{pareto_front, PointMetrics};
-use crate::sim::{SimCache, SimOutcome};
-use crate::spec::{ExplorationSpec, StealPolicy};
+use crate::sim::{SimCache, SimOutcome, StimulusBank};
+use crate::spec::ExplorationSpec;
 use crate::store::{
     profile_digest, stimulus_digest, stimulus_layout_digest, EvalKey, ResultStore, StoreHealth,
     StoredEval,
@@ -13,9 +13,9 @@ use crate::store::{
 use crate::summary::{render_summary, summarize_flows, FlowSummary};
 use dpsyn_baselines::{input_profiles, FlowResult, FlowSynthesis};
 use dpsyn_designs::Design;
-use std::collections::{BTreeMap, VecDeque};
-use std::ops::Range;
-use std::sync::{Mutex, OnceLock};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread;
 
 /// One evaluated point of the exploration: the job, its metrics and (optionally) the
@@ -34,7 +34,7 @@ pub struct ExplorationPoint {
 }
 
 /// Bounded retries per job under the engine's catch-unwind supervision: a job
-/// whose evaluation panics is retried from a clean per-worker cache state up to
+/// whose evaluation panics is retried from a clean per-worker sim cache up to
 /// this many total attempts, then quarantined ([`QuarantinedJob`]) instead of
 /// aborting the sweep.
 pub const JOB_ATTEMPT_LIMIT: usize = 3;
@@ -108,19 +108,15 @@ impl ExplorationResults {
 /// they are returned beside the results by [`explore_with_stats`], never inside them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Chunks this worker executed (seeded + stolen).
-    pub chunks: usize,
-    /// Jobs this worker evaluated.
+    /// Jobs this worker claimed from the shared cursor.
     pub jobs: usize,
-    /// Chunks this worker stole from another worker's queue.
-    pub steals: usize,
     /// Jobs this worker served from the persistent result store instead of
     /// evaluating (always 0 when no store is attached or lookups are disabled by
     /// artifact retention).
     pub store_hits: usize,
     /// Simulated-activity contexts this worker built (block-program compile +
-    /// stimulus draw). One per `(source, width, flow)` group the worker touches —
-    /// the group's later points reuse the context (always 0 without
+    /// technology resolve). One per `(source, width, flow)` group the worker
+    /// touches — the group's later points reuse the context (always 0 without
     /// [`SimActivity`](crate::SimActivity)).
     pub sim_builds: usize,
     /// Points this worker ran the simulated switching metric for.
@@ -141,9 +137,10 @@ pub struct ExploreStats {
 }
 
 impl ExploreStats {
-    /// Total number of stolen chunks across all workers.
+    /// Always 0: the shared-cursor scheduler never steals; kept for the benchmark
+    /// harness, which still reports an `explore.steals` counter.
     pub fn total_steals(&self) -> usize {
-        self.workers.iter().map(|worker| worker.steals).sum()
+        0
     }
 
     /// Total number of jobs served from the persistent result store.
@@ -175,45 +172,13 @@ impl ExploreStats {
     }
 }
 
-/// The execution schedule of one run: job indices re-ordered so that jobs sharing
-/// `(source, width, flow)` — i.e. differing only in their skew/bias profiles — are
-/// adjacent, plus the claimable work units. Workers own whole chunks, so a chunk's
-/// delta chain (first point full, later points through the dirty cone) runs on one
-/// thread against one cache entry, in an order that is a pure function of the
-/// specification (the chunking affects only scheduling, never results — the delta
-/// path is bit-identical to the full path by construction).
-///
-/// # Chunk-size invariant
-///
-/// Each group of `len` jobs is cut into `ceil(len / chunk_size)` chunks with
-/// `chunk_size = ceil(len / target)` and `target = min(len, threads × overpartition)`,
-/// so for every group:
-///
-/// * `1 ≤ chunk_size ≤ len` — every chunk is non-empty and no `.max(1)` patch-up is
-///   needed (`div_ceil` of a non-empty group by a non-zero target is already ≥ 1);
-/// * the group yields at most `min(len, threads × overpartition)` chunks — never more
-///   degenerate one-job chunks than the workers can actually use, even when
-///   `threads > len`;
-/// * with `threads × overpartition ≥ len` the schedule degenerates to per-job chunks
-///   (maximal parallelism), and with one thread at `overpartition = 1` each group is
-///   a single maximal delta chain.
-///
-/// The `overpartition` factor (see
-/// [`ExplorationSpecBuilder::overpartition`](crate::ExplorationSpecBuilder::overpartition))
-/// cuts groups finer than one chunk per worker so stealing can re-balance the tail of
-/// a dominant group. Finer chunks cost nothing when they stay on their seeded worker:
-/// the worker's [`CompiledCache`] entry survives across consecutive same-group
-/// chunks, so only the first chunk of a group **per worker** pays the full
-/// compile-and-prime path — every later leader is a verified hash hit that re-runs
-/// the delta path, exactly like a mid-chunk point.
-struct Schedule {
-    /// Job indices, group-major; within a group the canonical (skew, bias) order.
-    order: Vec<usize>,
-    /// Half-open ranges into `order`, one per claimable chunk.
-    chunks: Vec<Range<usize>>,
-}
-
-fn schedule(spec: &ExplorationSpec, jobs: &[Job]) -> Schedule {
+/// The execution order of one run: job indices sorted group-major by
+/// `(source, width, flow rank)`, so jobs that differ only in their skew/bias
+/// profiles are adjacent. Workers claim positions of this order one at a time from
+/// a shared cursor, so a worker usually takes several consecutive peers of one
+/// group and its [`SimCache`] sees them in order. The order affects only
+/// wall-clock time, never results.
+fn schedule(spec: &ExplorationSpec, jobs: &[Job]) -> Vec<usize> {
     // The flow's position in the specification (not its value) keys the sort so the
     // schedule never depends on an ordering of `Flow` itself.
     let flow_rank = |job: &Job| {
@@ -222,189 +187,23 @@ fn schedule(spec: &ExplorationSpec, jobs: &[Job]) -> Schedule {
             .position(|flow| *flow == job.flow())
             .unwrap_or(usize::MAX)
     };
-    let key = |index: usize| {
-        let job = &jobs[index];
-        (job.source_index(), job.width(), flow_rank(job))
-    };
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     // Stable: within a group the canonical enumeration order (skew-major) survives.
-    order.sort_by_key(|&index| key(index));
-    let mut groups: Vec<Range<usize>> = Vec::new();
-    for position in 0..order.len() {
-        if position == 0 || !jobs[order[position]].is_delta_peer(&jobs[order[position - 1]]) {
-            groups.push(position..position + 1);
-        } else if let Some(last) = groups.last_mut() {
-            last.end += 1;
-        }
-    }
-    let mut chunks = Vec::with_capacity(groups.len());
-    for group in groups {
-        let len = group.len();
-        // See the type-level chunk-size invariant: capping the chunk target at the
-        // group length keeps `threads > len` from requesting more one-job chunks
-        // than the group has jobs, and `div_ceil` by the non-zero target is ≥ 1.
-        let target = spec.threads().saturating_mul(spec.overpartition()).min(len);
-        let chunk_size = len.div_ceil(target);
-        let mut begin = group.start;
-        while begin < group.end {
-            let end = (begin + chunk_size).min(group.end);
-            chunks.push(begin..end);
-            begin = end;
-        }
-    }
-    Schedule { order, chunks }
-}
-
-/// Seeds the per-worker chunk queues: contiguous blocks of the group-major chunk
-/// list, so consecutive chunks of one group land on one worker and its compiled
-/// cache serves the whole group unless a steal re-balances it.
-fn seed_queues(chunk_count: usize, workers: usize) -> Vec<VecDeque<usize>> {
-    let mut queues = vec![VecDeque::new(); workers];
-    for (worker, queue) in queues.iter_mut().enumerate() {
-        let begin = chunk_count * worker / workers;
-        let end = chunk_count * (worker + 1) / workers;
-        queue.extend(begin..end);
-    }
-    queues
-}
-
-/// The shared work-stealing state: one deque of chunk indices per worker.
-///
-/// Terminology follows the classic work-stealing deque: the **bottom** is the end the
-/// owner works at (here the *front* — the next chunk of its seeded, group-major
-/// block, preserving cache affinity), the **top** is the end thieves take from (the
-/// *back* — the chunk farthest from what the owner is currently warming its cache
-/// for). Each deque sits behind its own mutex; chunks are coarse units (a full
-/// synthesis + analysis chain each), so the locks are uncontended in practice.
-struct StealQueues {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    policy: StealPolicy,
-}
-
-impl StealQueues {
-    fn new(seeded: Vec<VecDeque<usize>>, policy: StealPolicy) -> Self {
-        StealQueues {
-            queues: seeded.into_iter().map(Mutex::new).collect(),
-            policy,
-        }
-    }
-
-    /// Pops the owner's next chunk from the bottom of its own deque.
-    fn pop_own(&self, owner: usize) -> Option<usize> {
-        self.queues[owner]
-            .lock()
-            .expect("worker queues are never poisoned")
-            .pop_front()
-    }
-
-    /// Steals one chunk from the top of a victim's deque, per the steal policy.
-    ///
-    /// Returns `None` only when every other queue is empty at scan time — and since
-    /// chunks are only ever *removed* after seeding, an all-empty scan proves every
-    /// chunk has been claimed, so the thief can retire without losing work.
-    fn steal(&self, thief: usize) -> Option<usize> {
-        loop {
-            let victim = match self.policy {
-                StealPolicy::BusiestVictim => self
-                    .queues
-                    .iter()
-                    .enumerate()
-                    .filter(|(index, _)| *index != thief)
-                    .map(|(index, queue)| {
-                        let len = queue
-                            .lock()
-                            .expect("worker queues are never poisoned")
-                            .len();
-                        (len, index)
-                    })
-                    .filter(|(len, _)| *len > 0)
-                    .max_by_key(|(len, _)| *len)
-                    .map(|(_, index)| index),
-                StealPolicy::RoundRobin => (1..self.queues.len())
-                    .map(|offset| (thief + offset) % self.queues.len())
-                    .find(|&victim| {
-                        !self.queues[victim]
-                            .lock()
-                            .expect("worker queues are never poisoned")
-                            .is_empty()
-                    }),
-            };
-            let victim = victim?;
-            // The victim may have drained between the scan and this lock; rescan.
-            if let Some(chunk) = self.queues[victim]
-                .lock()
-                .expect("worker queues are never poisoned")
-                .pop_back()
-            {
-                return Some(chunk);
-            }
-        }
-    }
-}
-
-/// A read-only preview of the schedule [`explore`] would execute for a
-/// specification: the chunk layout (each chunk as its job indices, in claim order)
-/// and the seeded per-worker queues (as chunk indices).
-///
-/// This is introspection for benches and regression tests — the scheduler's chunking
-/// and seeding affect only wall-clock time, never results, so the preview carries no
-/// correctness weight beyond pinning the documented invariants.
-#[derive(Debug, Clone)]
-pub struct SchedulePreview {
-    chunks: Vec<Vec<usize>>,
-    queues: Vec<Vec<usize>>,
-}
-
-impl SchedulePreview {
-    /// The chunks of the schedule, each listed as the job indices it evaluates in
-    /// order (the first job of a chunk is its delta-chain leader).
-    pub fn chunks(&self) -> &[Vec<usize>] {
-        &self.chunks
-    }
-
-    /// The seeded queue of every worker, as indices into [`Self::chunks`]; workers
-    /// pop from the front and thieves steal from the back.
-    pub fn worker_queues(&self) -> &[Vec<usize>] {
-        &self.queues
-    }
-}
-
-/// Computes the [`SchedulePreview`] of a specification without running anything.
-pub fn schedule_preview(spec: &ExplorationSpec) -> SchedulePreview {
-    let jobs = spec.jobs();
-    let plan = schedule(spec, &jobs);
-    let chunks: Vec<Vec<usize>> = plan
-        .chunks
-        .iter()
-        .map(|range| plan.order[range.clone()].to_vec())
-        .collect();
-    let queues = seed_queues(chunks.len(), spec.threads())
-        .into_iter()
-        .map(Vec::from)
-        .collect();
-    SchedulePreview { chunks, queues }
+    order.sort_by_key(|&index| {
+        let job = &jobs[index];
+        (job.source_index(), job.width(), flow_rank(job))
+    });
+    order
 }
 
 /// Runs an exploration: shards the job matrix across the specification's worker
 /// threads, evaluates every point, and reduces the results into canonical order plus
 /// the Pareto front.
 ///
-/// The scheduler is **work-stealing over group-chunks**: every worker owns a deque
-/// of chunk indices seeded contiguously from the group-major [`Schedule`], pops
-/// locally from the bottom (keeping consecutive chunks of a group — and therefore
-/// their shared compiled-program cache entry — on one thread), and when its own
-/// deque runs dry steals from the top of a victim chosen by the specification's
-/// [`StealPolicy`], so a dominant `(source, width, flow)` group can never strand the
-/// other workers while one of them grinds through it.
-///
-/// A chunk's first point runs through the full synthesis + analysis path whenever
-/// the worker's cache misses (priming the entry), and every other point of the chunk
-/// re-analyses through the cache's delta path — falling back to the full path
-/// whenever the synthesized structure does not verify against the cached program.
-/// Every result lands in a preallocated write-once slot keyed by its canonical job
-/// index, so the returned results are **bit-identical for any worker count, steal
-/// policy and overpartition factor** (the delta path's reports are bit-identical to
-/// full re-analysis by construction, and the property suites pin that down).
+/// Workers claim jobs one at a time from one shared atomic cursor over the
+/// group-major schedule order, so no worker idles while a job is unclaimed. Every
+/// result lands in a preallocated write-once slot keyed by its canonical job index,
+/// so the returned results are **bit-identical for any worker count**.
 ///
 /// # Errors
 ///
@@ -416,7 +215,7 @@ pub fn explore(spec: &ExplorationSpec) -> Result<ExplorationResults, ExploreErro
 }
 
 /// Like [`explore`], additionally returning the run's scheduling diagnostics
-/// ([`ExploreStats`]): per-worker chunk/job/steal/store-hit counters. The results
+/// ([`ExploreStats`]): per-worker job, store-hit and sim counters. The results
 /// half is bit-identical to [`explore`]'s; the stats half records *this run's*
 /// scheduling and may differ between runs.
 ///
@@ -469,19 +268,20 @@ pub type FreshRecords = Vec<(EvalKey, StoredEval)>;
 /// Returns [`ExploreError::Flow`] when a synthesis flow fails on a job (lowest
 /// job index wins, independent of thread count). A *panicking* evaluation no
 /// longer fails the run at all: each job runs under `catch_unwind` supervision,
-/// is retried up to [`JOB_ATTEMPT_LIMIT`] attempts from a clean per-worker cache
-/// state, and is quarantined ([`ExplorationResults::quarantined`]) when every
+/// is retried up to [`JOB_ATTEMPT_LIMIT`] attempts from a clean per-worker sim
+/// cache, and is quarantined ([`ExplorationResults::quarantined`]) when every
 /// attempt panics — the other jobs complete normally.
 /// [`ExploreError::WorkerPanic`] remains only as the thread-level fallback for a
-/// panic *outside* the supervised evaluation (scheduler internals).
+/// panic *outside* the supervised evaluation (worker-loop internals).
 pub fn explore_with_store(
     spec: &ExplorationSpec,
     store: Option<&ResultStore>,
 ) -> Result<(ExplorationResults, ExploreStats, FreshRecords), ExploreError> {
     let jobs = spec.jobs();
-    let plan = schedule(spec, &jobs);
+    let order = schedule(spec, &jobs);
+    let cursor = AtomicUsize::new(0);
+    let stimuli = StimulusBank::default();
     let workers = spec.threads();
-    let queues = StealQueues::new(seed_queues(plan.chunks.len(), workers), spec.steal_policy());
     let memo = store.map(|store| StoreContext {
         store,
         tech_digest: spec.tech().identity_digest(),
@@ -499,41 +299,30 @@ pub fn explore_with_store(
     let mut panicked = false;
     thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|me| {
-                let queues = &queues;
-                let plan = &plan;
+            .map(|_| {
+                let (order, cursor, stimuli) = (&order, &cursor, &stimuli);
                 let jobs = &jobs;
                 let slots = &slots;
                 let memo = memo.as_ref();
                 scope.spawn(move || {
-                    let mut cache = CompiledCache::new();
-                    let mut sim_cache = SimCache::new();
+                    let mut sim_cache = SimCache::new(stimuli);
                     let mut worker = WorkerStats::default();
                     let mut recorded = Vec::new();
-                    loop {
-                        let (chunk_index, stolen) = match queues.pop_own(me) {
-                            Some(chunk) => (chunk, false),
-                            None => match queues.steal(me) {
-                                Some(chunk) => (chunk, true),
-                                None => break,
-                            },
-                        };
-                        worker.chunks += 1;
-                        worker.steals += usize::from(stolen);
-                        for &job_index in &plan.order[plan.chunks[chunk_index].clone()] {
-                            worker.jobs += 1;
-                            let outcome = supervised_evaluate(
-                                spec,
-                                &jobs[job_index],
-                                &mut cache,
-                                &mut sim_cache,
-                                memo,
-                                &mut recorded,
-                                &mut worker,
-                            );
-                            let stored = slots[job_index].set(outcome);
-                            debug_assert!(stored.is_ok(), "every job index is claimed once");
-                        }
+                    // Relaxed: the cursor only hands out positions. The jobs are
+                    // shared read-only from before the spawn, and results are
+                    // published through the write-once slots and the joins.
+                    while let Some(&job_index) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        worker.jobs += 1;
+                        let outcome = supervised_evaluate(
+                            spec,
+                            &jobs[job_index],
+                            &mut sim_cache,
+                            memo,
+                            &mut recorded,
+                            &mut worker,
+                        );
+                        let stored = slots[job_index].set(outcome);
+                        debug_assert!(stored.is_ok(), "every job index is claimed once");
                     }
                     (worker, recorded)
                 })
@@ -632,18 +421,16 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs [`evaluate`] under `catch_unwind` supervision with bounded deterministic
-/// retry: a panicking attempt resets the worker's compiled and sim caches (a
-/// panic may have left them mid-update) and truncates the fresh-record tail back
+/// retry: a panicking attempt resets the worker's sim cache (a panic may have
+/// left it mid-update; the run's shared stimulus batches survive) and truncates the fresh-record tail back
 /// to the pre-attempt mark (so the store never keeps records of a poisoned
 /// attempt), then retries; after [`JOB_ATTEMPT_LIMIT`] panicking attempts the job
 /// is quarantined. Because the retry budget is per *job* (not per worker or
 /// wall-clock), the outcome is identical for every thread count.
-#[allow(clippy::too_many_arguments)]
 fn supervised_evaluate(
     spec: &ExplorationSpec,
     job: &Job,
-    cache: &mut CompiledCache,
-    sim_cache: &mut SimCache,
+    sim_cache: &mut SimCache<'_>,
     memo: Option<&StoreContext<'_>>,
     recorded: &mut Vec<(EvalKey, StoredEval)>,
     worker: &mut WorkerStats,
@@ -651,23 +438,14 @@ fn supervised_evaluate(
     for attempt in 1..=JOB_ATTEMPT_LIMIT {
         let mark = recorded.len();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            evaluate(
-                spec,
-                job,
-                &mut *cache,
-                &mut *sim_cache,
-                memo,
-                recorded,
-                worker,
-            )
+            evaluate(spec, job, &mut *sim_cache, memo, recorded, worker)
         }));
         match caught {
             Ok(Ok(point)) => return JobOutcome::Point(Box::new(point)),
             Ok(Err(error)) => return JobOutcome::Failed(error),
             Err(payload) => {
                 recorded.truncate(mark);
-                *cache = CompiledCache::new();
-                *sim_cache = SimCache::new();
+                sim_cache.reset();
                 if attempt == JOB_ATTEMPT_LIMIT {
                     return JobOutcome::Quarantined {
                         attempts: attempt,
@@ -718,14 +496,14 @@ fn point_from_stored(
 /// The storable figures of a freshly evaluated point; an analytic sweep stores a
 /// zero simulated figure (its key's zero stimulus digest keeps it from ever being
 /// read back as a simulated one).
-fn stored_from(evaluated: &Evaluated, simulated: Option<f64>) -> StoredEval {
+fn stored_from(result: &FlowResult, simulated: Option<f64>) -> StoredEval {
     StoredEval {
-        delay: evaluated.delay,
-        area: evaluated.area,
-        switching_energy: evaluated.switching_energy,
-        power_mw: evaluated.power_mw,
-        cell_count: evaluated.cell_count,
-        logic_depth: evaluated.logic_depth,
+        delay: result.delay,
+        area: result.area,
+        switching_energy: result.switching_energy,
+        power_mw: result.power_mw,
+        cell_count: result.compiled.cell_count(),
+        logic_depth: result.compiled.level_count(),
         simulated_switch_power: simulated.unwrap_or(0.0),
     }
 }
@@ -733,8 +511,8 @@ fn stored_from(evaluated: &Evaluated, simulated: Option<f64>) -> StoredEval {
 /// Evaluates one job: materializes its design, runs its flow's synthesis, and obtains
 /// the metrics (delay from timing analysis, power from probability propagation, area
 /// and structure straight off the compiled program). Flows that synthesize without
-/// analysing go through the worker's [`CompiledCache`] — a structurally verified hit
-/// re-analyses only the dirty cone; everything else takes the full compiled bundle.
+/// analysing are analysed here by [`FlowResult::analyze`], the same call
+/// [`Flow::run`](dpsyn_baselines::Flow::run) makes.
 ///
 /// With a [`StoreContext`] attached the job additionally consults the persistent
 /// store — a point-level hit skips even synthesis, an analysis-level hit skips the
@@ -744,14 +522,13 @@ fn stored_from(evaluated: &Evaluated, simulated: Option<f64>) -> StoredEval {
 ///
 /// When the specification carries a [`SimActivity`](crate::SimActivity), the
 /// synthesized netlist additionally runs through the worker's [`SimCache`] — the
-/// group's compiled block program and shared stimulus batch absorb every later
-/// point — and both store keys fold the stimulus digest, so simulated and
+/// group's compiled block program and the run's shared stimulus batch absorb every
+/// later point — and both store keys fold the stimulus digest, so simulated and
 /// analytic records never alias.
 fn evaluate(
     spec: &ExplorationSpec,
     job: &Job,
-    cache: &mut CompiledCache,
-    sim_cache: &mut SimCache,
+    sim_cache: &mut SimCache<'_>,
     memo: Option<&StoreContext<'_>>,
     recorded: &mut Vec<(EvalKey, StoredEval)>,
     worker: &mut WorkerStats,
@@ -813,25 +590,14 @@ fn evaluate(
         }
         Ok(Some(power))
     };
-    let (evaluated, simulated) = match synthesis {
+    let (result, simulated) = match synthesis {
         FlowSynthesis::Analyzed(result) => {
             let simulated = simulate(&result.netlist, &result.word_map, worker)?;
-            (
-                Evaluated {
-                    delay: result.delay,
-                    area: result.area,
-                    switching_energy: result.switching_energy,
-                    power_mw: result.power_mw,
-                    cell_count: result.compiled.cell_count(),
-                    logic_depth: result.compiled.level_count(),
-                    artifact: spec.retain_artifacts.then_some(*result),
-                },
-                simulated,
-            )
+            (*result, simulated)
         }
         FlowSynthesis::Unanalyzed(parts) => {
-            let (arrivals, probabilities) = input_profiles(&parts.word_map, design.spec());
             let analysis_key = memo.map(|context| {
+                let (arrivals, probabilities) = input_profiles(&parts.word_map, design.spec());
                 let stimulus = activity
                     .map(|activity| {
                         stimulus_layout_digest(stimulus_digest(activity), &parts.word_map)
@@ -858,45 +624,40 @@ fn evaluate(
             }
             // Simulate before `analyze` consumes the netlist by value.
             let simulated = simulate(&parts.netlist, &parts.word_map, worker)?;
-            let evaluated = cache
-                .analyze(
-                    parts.flow,
-                    parts.netlist,
-                    parts.word_map,
-                    PointProfiles {
-                        arrivals: &arrivals,
-                        probabilities: &probabilities,
-                    },
-                    spec.tech(),
-                    spec.retain_artifacts,
-                )
-                .map_err(|source| ExploreError::Flow {
-                    job: job.label(),
-                    source,
-                })?;
+            let result = FlowResult::analyze(
+                parts.flow,
+                parts.netlist,
+                parts.word_map,
+                design.spec(),
+                spec.tech(),
+            )
+            .map_err(|source| ExploreError::Flow {
+                job: job.label(),
+                source,
+            })?;
             if let Some(key) = analysis_key {
-                recorded.push((key, stored_from(&evaluated, simulated)));
+                recorded.push((key, stored_from(&result, simulated)));
             }
-            (evaluated, simulated)
+            (result, simulated)
         }
     };
     if let Some(key) = point_key {
-        recorded.push((key, stored_from(&evaluated, simulated)));
+        recorded.push((key, stored_from(&result, simulated)));
     }
     let metrics = PointMetrics {
-        delay: evaluated.delay,
-        power: evaluated.power_mw,
-        area: evaluated.area,
-        switching_energy: evaluated.switching_energy,
-        cell_count: evaluated.cell_count,
-        logic_depth: evaluated.logic_depth,
+        delay: result.delay,
+        power: result.power_mw,
+        area: result.area,
+        switching_energy: result.switching_energy,
+        cell_count: result.compiled.cell_count(),
+        logic_depth: result.compiled.level_count(),
         simulated_switch_power: simulated,
     };
     Ok(ExplorationPoint {
         job: job.clone(),
         design: design.name().to_string(),
         metrics,
-        artifact: evaluated.artifact,
+        artifact: spec.retain_artifacts.then_some(result),
     })
 }
 
@@ -908,7 +669,7 @@ mod tests {
 
     /// A workload spec whose matrix has one group of `skews × biases` jobs per
     /// `(width, flow)` combination.
-    fn spec(threads: usize, overpartition: usize) -> ExplorationSpec {
+    fn spec(threads: usize) -> ExplorationSpec {
         ExplorationSpec::builder()
             .sum_workload(3)
             .widths([3, 4])
@@ -920,127 +681,55 @@ mod tests {
             .biases([BiasProfile::Keep, BiasProfile::Uniform(0.3)])
             .flows([Flow::Conventional, Flow::FaAot])
             .threads(threads)
-            .overpartition(overpartition)
             .build()
             .expect("schedule test spec is well-formed")
     }
 
-    /// Every chunk is non-empty, covers each job exactly once, never mixes groups,
-    /// and respects the documented per-group chunk-count cap.
-    fn assert_schedule_invariants(spec: &ExplorationSpec) {
+    #[test]
+    fn schedule_order_is_a_group_major_permutation() {
+        let spec = spec(2);
         let jobs = spec.jobs();
-        let preview = schedule_preview(spec);
-        let mut seen = vec![false; jobs.len()];
-        for chunk in preview.chunks() {
-            assert!(!chunk.is_empty(), "degenerate empty chunk");
-            for &job_index in chunk {
-                assert!(!seen[job_index], "job {job_index} scheduled twice");
-                seen[job_index] = true;
-                assert!(
-                    jobs[chunk[0]].is_delta_peer(&jobs[job_index]),
-                    "chunk mixes groups"
-                );
-            }
+        let order = schedule(&spec, &jobs);
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..jobs.len()).collect::<Vec<_>>(), "a permutation");
+        let group = |index: usize| {
+            let job = &jobs[index];
+            (job.source_index(), job.width(), job.flow())
+        };
+        // 2 widths × 2 flows = 4 groups of 3 skews × 2 biases = 6 jobs each: every
+        // group is one contiguous run of 6 in canonical (ascending index) order.
+        for run in order.chunks(6) {
+            assert!(run.iter().all(|&index| group(index) == group(run[0])));
+            assert!(run.windows(2).all(|pair| pair[0] < pair[1]), "stable order");
         }
-        assert!(seen.iter().all(|&claimed| claimed), "schedule misses jobs");
-        // Per-group chunk cap: count chunks per (source, width, flow) group.
-        let cap = spec.threads() * spec.overpartition();
-        let mut group_chunks: Vec<(usize, usize)> = Vec::new(); // (leader job, chunks)
-        for chunk in preview.chunks() {
-            match group_chunks
-                .iter_mut()
-                .find(|(leader, _)| jobs[*leader].is_delta_peer(&jobs[chunk[0]]))
-            {
-                Some((_, count)) => *count += 1,
-                None => group_chunks.push((chunk[0], 1)),
-            }
-        }
-        for (leader, count) in group_chunks {
-            let group_len = jobs
-                .iter()
-                .filter(|job| job.is_delta_peer(&jobs[leader]))
-                .count();
-            assert!(
-                count <= cap.min(group_len),
-                "group of {group_len} jobs split into {count} chunks (cap {})",
-                cap.min(group_len)
-            );
-        }
-        // Seeding: every chunk index queued exactly once, in contiguous blocks.
-        let queued: Vec<usize> = preview
-            .worker_queues()
-            .iter()
-            .flat_map(|queue| queue.iter().copied())
-            .collect();
-        assert_eq!(queued, (0..preview.chunks().len()).collect::<Vec<_>>());
     }
 
     #[test]
-    fn chunking_respects_invariants_across_thread_counts() {
-        for threads in [1, 2, 3, 4, 7, 8, 64] {
-            for overpartition in [1, 2, 4] {
-                assert_schedule_invariants(&spec(threads, overpartition));
-            }
+    fn shared_cursor_claims_every_job_exactly_once() {
+        // 24 jobs under 1 and 3 workers: every job is claimed by exactly one
+        // worker (the write-once slots would panic in debug on a double claim).
+        for threads in [1, 3] {
+            let (results, stats) = explore_with_stats(&spec(threads)).expect("sweep runs");
+            assert_eq!(results.points().len(), 24);
+            assert_eq!(stats.workers.len(), threads);
+            let claimed: usize = stats.workers.iter().map(|worker| worker.jobs).sum();
+            assert_eq!(claimed, 24, "{threads} worker(s)");
         }
     }
 
     #[test]
     fn more_threads_than_jobs_emits_at_most_one_chunk_per_job() {
-        // 24 jobs under 64 workers: the old `ceil(len/threads)` sizing already gave
-        // one-job chunks; the tightened target additionally caps the chunk count at
-        // the group length, so there are never more (degenerate) chunks than jobs.
-        let spec = spec(64, 4);
-        let preview = schedule_preview(&spec);
-        assert_eq!(preview.chunks().len(), spec.jobs().len());
-        assert!(preview.chunks().iter().all(|chunk| chunk.len() == 1));
-        // The seeded queues still cover every chunk despite idle tail workers.
-        let seeded: usize = preview.worker_queues().iter().map(Vec::len).sum();
-        assert_eq!(seeded, preview.chunks().len());
-    }
-
-    #[test]
-    fn single_thread_without_overpartition_is_one_chunk_per_group() {
-        let spec = spec(1, 1);
-        let preview = schedule_preview(&spec);
-        // 2 widths × 2 flows = 4 groups of skews × biases = 6 jobs each.
-        assert_eq!(preview.chunks().len(), 4);
-        assert!(preview.chunks().iter().all(|chunk| chunk.len() == 6));
-        assert_eq!(preview.worker_queues().len(), 1);
-        assert_eq!(preview.worker_queues()[0], vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn overpartition_splits_groups_finer_for_stealing() {
-        // Groups of 6 at 2 threads: overpartition 1 → chunks of 3; overpartition 4
-        // (target 8 > len 6) → per-job chunks.
-        let coarse = schedule_preview(&spec(2, 1));
-        assert!(coarse.chunks().iter().all(|chunk| chunk.len() == 3));
-        let fine = schedule_preview(&spec(2, 4));
-        assert!(fine.chunks().iter().all(|chunk| chunk.len() == 1));
-    }
-
-    #[test]
-    fn remainder_groups_keep_chunks_within_one_of_each_other() {
-        // A 5-job group at 2 threads, overpartition 1: ceil(5/2) = 3 → chunks of
-        // 3 and 2 — the remainder chunk is smaller, never empty.
-        let spec = ExplorationSpec::builder()
-            .sum_workload(3)
-            .width(3)
-            .skews([
-                SkewProfile::Keep,
-                SkewProfile::Uniform(1.0),
-                SkewProfile::Uniform(2.0),
-                SkewProfile::Uniform(3.0),
-                SkewProfile::Uniform(4.0),
-            ])
-            .flow(Flow::Conventional)
-            .threads(2)
-            .overpartition(1)
-            .build()
-            .expect("spec is well-formed");
-        let preview = schedule_preview(&spec);
-        let sizes: Vec<usize> = preview.chunks().iter().map(Vec::len).collect();
-        assert_eq!(sizes, vec![3, 2]);
+        // 24 jobs under 64 workers: the unit of work is one job claimed from the
+        // cursor, so there are exactly as many claims as jobs, at most 24 workers
+        // get any, and the rest find the cursor already exhausted.
+        let (results, stats) = explore_with_stats(&spec(64)).expect("sweep runs");
+        assert_eq!(results.points().len(), 24);
+        assert_eq!(stats.workers.len(), 64);
+        let claimed: usize = stats.workers.iter().map(|worker| worker.jobs).sum();
+        assert_eq!(claimed, 24);
+        let busy = stats.workers.iter().filter(|worker| worker.jobs > 0).count();
+        assert!((1..=24).contains(&busy), "{busy} busy workers");
     }
 
     /// A fixed design whose evaluation panics (the `__panic__` injection hook in
@@ -1135,8 +824,8 @@ mod tests {
     fn sim_contexts_are_built_once_per_group_and_reused() {
         use crate::spec::SimActivity;
         // 2 widths × 2 flows = 4 (source, width, flow) groups of 3 skews × 2
-        // biases = 6 jobs each. One worker, overpartition 1: every group runs as
-        // one chunk. Both flows bind modules without looking at input profiles,
+        // biases = 6 jobs each. One worker claims the group-major order, so every
+        // group runs back to back. Both flows bind modules without looking at input profiles,
         // so every point of a group synthesizes the identical structure and the
         // simulated metric must compile exactly one block program (and draw one
         // stimulus batch) per group, absorbing the other five points as verified
@@ -1153,7 +842,6 @@ mod tests {
             .biases([BiasProfile::Keep, BiasProfile::Uniform(0.3)])
             .flows([Flow::Conventional, Flow::CsaOpt])
             .threads(1)
-            .overpartition(1)
             .sim_activity(SimActivity {
                 seed: 11,
                 vectors: 512,
@@ -1193,7 +881,6 @@ mod tests {
             .biases([BiasProfile::Keep, BiasProfile::Uniform(0.3)])
             .flows([Flow::Conventional, Flow::CsaOpt])
             .threads(1)
-            .overpartition(1)
             .build()
             .expect("analytic twin is well-formed");
         let (results, stats) = explore_with_stats(&analytic).expect("analytic sweep runs");
@@ -1204,27 +891,5 @@ mod tests {
             .iter()
             .all(|point| point.metrics.simulated_switch_power.is_none()));
         assert!(!results.render_summary().contains("sim mW"));
-    }
-
-    #[test]
-    fn steal_queues_drain_exactly_once_under_both_policies() {
-        for policy in [StealPolicy::BusiestVictim, StealPolicy::RoundRobin] {
-            let queues = StealQueues::new(seed_queues(10, 3), policy);
-            // Worker 2 drains its own queue then steals everything else dry.
-            let mut claimed = Vec::new();
-            while let Some(chunk) = queues.pop_own(2) {
-                claimed.push(chunk);
-            }
-            while let Some(chunk) = queues.steal(2) {
-                claimed.push(chunk);
-            }
-            claimed.sort_unstable();
-            assert_eq!(claimed, (0..10).collect::<Vec<_>>());
-            assert_eq!(
-                queues.steal(0),
-                None,
-                "drained queues have nothing to steal"
-            );
-        }
     }
 }

@@ -73,7 +73,7 @@ pub struct FaultPlan {
     read_ops: AtomicU64,
     /// Evaluation attempts per job index. Keyed by job — not by worker or
     /// wall-clock — so the injected panics fire identically for every thread
-    /// count and steal schedule.
+    /// count and claim order.
     attempts: Mutex<std::collections::BTreeMap<usize, u64>>,
 }
 

@@ -76,16 +76,6 @@ impl Job {
         self.flow
     }
 
-    /// Whether two jobs are **delta peers**: same source, width and flow, differing
-    /// only in their skew/bias profiles. Delta peers usually synthesize structurally
-    /// identical netlists, so the scheduler groups them into chunks whose non-leader
-    /// points re-analyse through the compiled-program cache's delta path.
-    pub fn is_delta_peer(&self, other: &Job) -> bool {
-        self.source_index == other.source_index
-            && self.width == other.width
-            && self.flow == other.flow
-    }
-
     /// A human-readable label naming the design point and flow, used in summaries and
     /// error messages.
     pub fn label(&self) -> String {

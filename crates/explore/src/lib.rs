@@ -7,12 +7,11 @@
 //! 1. An [`ExplorationSpec`] crosses expression sources (fixed benchmark designs from
 //!    `dpsyn-designs` and its workload generators) with width ranges, [`SkewProfile`]s,
 //!    [`BiasProfile`]s and the [`Flow`]s of `dpsyn-baselines`.
-//! 2. [`explore`] shards the resulting jobs across `std::thread::scope` workers
-//!    under a **work-stealing scheduler**: each worker owns a deque of group-chunks
-//!    seeded from the schedule and steals from a victim (per [`StealPolicy`]) when
-//!    its own deque runs dry. Every job is a pure function of the specification and
-//!    every result lands in a write-once slot keyed by job index, so the outcome is
-//!    **bit-identical for any worker count, steal policy and overpartition factor**
+//! 2. [`explore`] runs the resulting jobs on `std::thread::scope` workers that
+//!    claim them one at a time from a **shared atomic cursor** over a group-major
+//!    order (jobs sharing `(source, width, flow)` are adjacent). Every job is a pure
+//!    function of the specification and every result lands in a write-once slot
+//!    keyed by job index, so the outcome is **bit-identical for any worker count**
 //!    — the property the determinism suite pins down.
 //! 3. Each synthesized point is reduced to [`PointMetrics`] (delay from static timing
 //!    analysis, switching power from probability propagation, cell area and structure
@@ -20,10 +19,11 @@
 //!    over delay × power × area plus per-flow [`FlowSummary`] tables.
 //! 4. Optionally, a [`SimActivity`] request adds **simulated switching activity** as
 //!    a per-point metric: every synthesized netlist runs through the SIMD block-lane
-//!    engine of `dpsyn-sim` on a shared seeded stimulus batch (compiled once and
-//!    reused across each `(source, width, flow)` group, like the analytic delta
-//!    path), yielding `simulated_switch_power` and an analytic-vs-simulated
-//!    divergence column in the summary — still byte-identical for any worker count.
+//!    engine of `dpsyn-sim` on a seeded stimulus batch drawn once per run (the
+//!    block program is compiled once per worker and reused across each
+//!    `(source, width, flow)` group), yielding `simulated_switch_power` and an
+//!    analytic-vs-simulated divergence column in the summary — still
+//!    byte-identical for any worker count.
 //!
 //! # Example
 //!
@@ -48,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod engine;
 mod error;
 pub mod faults;
@@ -65,9 +64,8 @@ mod summary;
 
 pub use dpsyn_baselines::Flow;
 pub use engine::{
-    explore, explore_with_stats, explore_with_store, schedule_preview, ExplorationPoint,
-    ExplorationResults, ExploreStats, FreshRecords, QuarantinedJob, SchedulePreview, WorkerStats,
-    JOB_ATTEMPT_LIMIT,
+    explore, explore_with_stats, explore_with_store, ExplorationPoint, ExplorationResults,
+    ExploreStats, FreshRecords, QuarantinedJob, WorkerStats, JOB_ATTEMPT_LIMIT,
 };
 pub use error::ExploreError;
 pub use job::Job;
@@ -78,7 +76,6 @@ pub use pareto::{pareto_front, PointMetrics};
 pub use serve::{serve, ServeConfig, ServeResponse};
 pub use spec::{
     BiasProfile, ExplorationSpec, ExplorationSpecBuilder, ExprSource, SimActivity, SkewProfile,
-    StealPolicy,
 };
 pub use store::{
     profile_digest, quarantine_path, stimulus_digest, stimulus_layout_digest, EvalKey, EvalStage,

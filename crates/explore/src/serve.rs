@@ -14,7 +14,7 @@
 //! {"sources":[{"design":"x_squared"},{"sum":3}],"widths":[4],
 //!  "skews":["keep",2.0],"biases":["keep"],
 //!  "flows":["conventional","csa_opt",{"fa_random":11}],
-//!  "seed":7,"threads":2,"overpartition":4,"steal":"busiest","tech":"lcbg10pv_like",
+//!  "seed":7,"threads":2,"tech":"lcbg10pv_like",
 //!  "sim_activity":{"seed":11,"vectors":4096}}
 //! ```
 //!
@@ -72,7 +72,7 @@ use crate::engine::explore_with_store;
 use crate::error::ExploreError;
 use crate::faults::FaultPlan;
 use crate::metrics::{ServeMetrics, ServeStatus};
-use crate::spec::{BiasProfile, ExplorationSpec, SimActivity, SkewProfile, StealPolicy};
+use crate::spec::{BiasProfile, ExplorationSpec, SimActivity, SkewProfile};
 use crate::store::ResultStore;
 use dpsyn_baselines::Flow;
 use dpsyn_designs::Design;
@@ -707,20 +707,6 @@ fn build_spec(fields: &[(String, Json)]) -> Result<ExplorationSpec, String> {
             "threads" => {
                 builder = builder.threads(value.as_usize().ok_or("`threads` must be an integer")?);
             }
-            "overpartition" => {
-                builder = builder.overpartition(
-                    value
-                        .as_usize()
-                        .ok_or("`overpartition` must be an integer")?,
-                );
-            }
-            "steal" => {
-                builder = builder.steal_policy(match value.as_str() {
-                    Some("busiest") => StealPolicy::BusiestVictim,
-                    Some("round_robin") => StealPolicy::RoundRobin,
-                    _ => return Err("`steal` is \"busiest\" or \"round_robin\"".to_string()),
-                });
-            }
             "tech" => {
                 builder = builder.tech(match value.as_str() {
                     Some("unit") => TechLibrary::unit(),
@@ -1120,6 +1106,61 @@ mod tests {
         assert!(build_spec(&fields)
             .expect_err("unknown flow")
             .contains("unknown flow"));
+    }
+
+    #[test]
+    fn scheduler_tuning_keys_are_unknown_request_fields() {
+        for (key, value) in [("overpartition", "4"), ("steal", "\"busiest\"")] {
+            let line = format!(
+                r#"{{"sources":[{{"design":"x_squared"}}],"flows":["fa_aot"],"{key}":{value}}}"#
+            );
+            let Json::Object(fields) = parse_json(&line).expect("request parses") else {
+                panic!("not an object");
+            };
+            let error = build_spec(&fields).expect_err("scheduler knobs are not request fields");
+            assert_eq!(error, format!("unknown request field `{key}`"));
+        }
+    }
+
+    /// Seeded byte flips and truncations of a valid request line: parsing and
+    /// building must never panic, only answer `Ok` or an `Err` with a reason.
+    #[test]
+    fn mutated_request_lines_parse_or_reject_without_panicking() {
+        const CASES: usize = 2000;
+        let valid = r#"{"sources":[{"design":"x_squared"},{"sum":3},{"sop":2}],"widths":[4],"skews":["keep",2.0],"biases":["keep",0.3],"flows":["conventional",{"fa_random":11},{"fa_anneal":5}],"seed":7,"threads":2,"tech":"unit","sim_activity":{"seed":11,"vectors":64}}"#;
+        let build = |line: &str| match parse_json(line)? {
+            Json::Object(fields) => build_spec(&fields).map(|_| ()),
+            _ => Err("a request is an object".to_string()),
+        };
+        build(valid).expect("the unmutated line builds");
+        // Printable noise: positions come from byte pairs, replacements are the
+        // bytes themselves, so every mutated line stays valid UTF-8.
+        let noise = crate::faults::deterministic_garbage(0x5eed, 8 * CASES);
+        let mut rejected = 0;
+        for (case, draw) in noise.chunks(8).enumerate() {
+            let at = |pair: &[u8]| (usize::from(pair[0]) * 94 + usize::from(pair[1])) % valid.len();
+            let mut bytes = valid.as_bytes().to_vec();
+            for flip in 0..1 + case % 3 {
+                bytes[at(&draw[2 * flip..])] = draw[6 + flip % 2];
+            }
+            if case % 4 == 0 {
+                bytes.truncate(at(&draw[6..]));
+            }
+            let line = String::from_utf8(bytes).expect("printable bytes stay UTF-8");
+            let outcome = std::panic::catch_unwind(|| build(&line));
+            match outcome {
+                Ok(Ok(())) => {}
+                Ok(Err(reason)) => {
+                    assert!(!reason.is_empty(), "an empty reason for {line}");
+                    rejected += 1;
+                }
+                Err(_) => panic!("mutated request panicked: {line}"),
+            }
+        }
+        assert!(
+            rejected > CASES / 2,
+            "most mutations are rejected ({rejected})"
+        );
     }
 
     #[test]

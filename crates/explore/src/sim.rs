@@ -9,28 +9,28 @@
 //! `power_mw` — and with it the analytic-vs-simulated divergence column of the
 //! sweep summary.
 //!
-//! The cost model mirrors the compiled-program cache ([`crate::cache`]): jobs that
-//! share `(source, width, flow)` synthesize structurally identical netlists, so the
-//! compiled block program, the resolved technology tables and the drawn stimulus
-//! batch of the group's first point absorb every later point. [`SimCache`] holds
-//! those artifacts per worker with the same correctness ladder:
+//! Jobs that share `(source, width, flow)` usually synthesize structurally
+//! identical netlists, so the compiled block program and the resolved technology
+//! tables of the group's first point absorb every later point. [`SimCache`] holds
+//! those artifacts per worker behind a strict correctness ladder:
 //!
 //! 1. probe by [`Netlist::structural_hash`];
 //! 2. **verify** the candidate cell-by-cell against the cached program's ops plus
 //!    the input/output lists and the word map — hash equality is never trusted;
-//! 3. on a verified hit, reuse the compiled program and the stimulus batch; points
-//!    whose input probabilities were already simulated are served from a per-entry
-//!    memo (skew axes never perturb a simulation, so a whole skew column collapses
-//!    to one evaluation);
-//! 4. on any mismatch, compile and draw fresh — so the simulated figure is a pure
-//!    function of `(netlist structure, word map, spec probabilities, activity)`,
-//!    bit-identical for any worker count, chunking or eviction history.
+//! 3. on a verified hit, reuse the compiled program; points whose input
+//!    probabilities were already simulated are served from a per-entry memo (skew
+//!    axes never perturb a simulation, so a whole skew column collapses to one
+//!    evaluation);
+//! 4. on any mismatch, compile fresh — so the simulated figure is a pure function
+//!    of `(netlist structure, word map, spec probabilities, activity)`,
+//!    bit-identical for any worker count, claim order or eviction history.
 //!
-//! Determinism note: the stimulus batch is keyed by the **spec-level** activity
-//! seed, never by worker or group identity, so two structurally identical groups
-//! draw the same batch and the persistent store's name-blind analysis keys stay
-//! sound (the key folds the exact bit-to-net stimulus layout on top; see
-//! [`crate::store::stimulus_layout_digest`]).
+//! The stimulus batch depends only on `(activity seed, input bits per vector,
+//! vectors)`, never on worker or group identity, so one [`StimulusBank`] per run
+//! draws each distinct batch once and every worker's cache shares it. Two
+//! structurally identical groups therefore simulate the same batch, and the
+//! persistent store's name-blind analysis keys stay sound (the key folds the exact
+//! bit-to-net stimulus layout on top; see [`crate::store::stimulus_layout_digest`]).
 
 use crate::spec::SimActivity;
 use dpsyn_ir::InputSpec;
@@ -39,24 +39,54 @@ use dpsyn_power::simulated_energy;
 use dpsyn_sim::{BlockSim, SharedStimulus, ToggleCounter, DEFAULT_BLOCK};
 use dpsyn_tech::{ResolvedTech, TechLibrary};
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Upper bound on live entries per worker, matching the compiled-program cache:
-/// entries hold a compiled block program plus a drawn stimulus batch, so the bound
-/// keeps memory flat while covering the structures a worker's groups cycle through.
+/// Upper bound on live entries per worker: entries hold a compiled block program,
+/// so the bound keeps memory flat while covering the structures a worker's groups
+/// cycle through.
 const MAX_ENTRIES: usize = 8;
+
+/// The stimulus batches of one run, shared by every worker's [`SimCache`]: one
+/// batch per `(seed, bits per vector, vectors)` key, drawn on first use. A batch
+/// holds `bits × vectors` samples (about 3 MB at 4096 vectors), so drawing it once
+/// per run instead of once per cache entry keeps a simulated sweep's memory flat.
+#[derive(Default)]
+pub(crate) struct StimulusBank {
+    batches: Mutex<HashMap<(u64, usize, usize), Arc<SharedStimulus>>>,
+}
+
+impl StimulusBank {
+    /// The batch for `activity` over `bits` input bits per vector, drawn under the
+    /// lock on first use so no two workers ever draw the same batch.
+    fn batch(&self, activity: SimActivity, bits: usize) -> Arc<SharedStimulus> {
+        // A panic while the lock is held cannot leave a half-inserted batch, so a
+        // poisoned map is still sound.
+        let mut batches = self.batches.lock().unwrap_or_else(PoisonError::into_inner);
+        let batch = batches
+            .entry((activity.seed, bits, activity.vectors))
+            .or_insert_with(|| {
+                Arc::new(SharedStimulus::generate(
+                    activity.seed,
+                    bits,
+                    activity.vectors,
+                ))
+            });
+        Arc::clone(batch)
+    }
+}
 
 /// What one [`SimCache::simulate`] call did, for the engine's per-worker counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SimOutcome {
-    /// A fresh block program + stimulus batch were built for this structure.
+    /// A fresh block program was built for this structure.
     Built,
-    /// A verified cached program (and its stimulus batch) absorbed the point.
+    /// A verified cached program absorbed the point.
     Reused,
 }
 
 /// One cached simulation context: the compiled block program, its structural
-/// identity in cell order for exact verification, the stimulus batch drawn for the
-/// activity request, the resolved energy tables, and a memo of probability
+/// identity in cell order for exact verification, the run's shared stimulus batch
+/// for the activity request, the resolved energy tables, and a memo of probability
 /// profiles already simulated under this exact context.
 struct SimEntry {
     sim: BlockSim,
@@ -64,7 +94,7 @@ struct SimEntry {
     cell_ops: Vec<CompiledOp>,
     word_map: WordMap,
     activity: SimActivity,
-    stimulus: SharedStimulus,
+    stimulus: Arc<SharedStimulus>,
     resolved: ResolvedTech,
     voltage: f64,
     tech_digest: u64,
@@ -76,10 +106,10 @@ struct SimEntry {
 }
 
 impl SimEntry {
-    /// Exact structural verification, mirroring the compiled-program cache: net
-    /// universe, primary inputs/outputs, word-level interface, every cell's kind
-    /// and exact pin lists — plus the activity request and tech identity this
-    /// entry's batch and tables were built for.
+    /// Exact structural verification: net universe, primary inputs/outputs,
+    /// word-level interface, every cell's kind and exact pin lists — plus the
+    /// activity request and tech identity this entry's batch and tables were built
+    /// for.
     fn matches(
         &self,
         netlist: &Netlist,
@@ -124,19 +154,27 @@ impl SimEntry {
 }
 
 /// The per-worker simulation cache; see the [module documentation](self).
-pub(crate) struct SimCache {
+pub(crate) struct SimCache<'bank> {
     entries: HashMap<u64, SimEntry>,
     /// Insertion-recency order of resident hashes, oldest first (FIFO admission,
-    /// replacements re-admitted at the back — same policy as the compiled cache).
+    /// replacements re-admitted at the back).
     order: VecDeque<u64>,
+    stimuli: &'bank StimulusBank,
 }
 
-impl SimCache {
-    pub(crate) fn new() -> Self {
+impl<'bank> SimCache<'bank> {
+    pub(crate) fn new(stimuli: &'bank StimulusBank) -> Self {
         SimCache {
             entries: HashMap::new(),
             order: VecDeque::new(),
+            stimuli,
         }
+    }
+
+    /// Drops every cached program (after a panic may have left one mid-update),
+    /// keeping the run's shared stimulus bank.
+    pub(crate) fn reset(&mut self) {
+        *self = SimCache::new(self.stimuli);
     }
 
     /// Simulates one synthesized point under `activity` and returns its simulated
@@ -182,8 +220,8 @@ impl SimCache {
         Ok((power, outcome))
     }
 
-    /// Compiles the block program, resolves the energy tables and draws the
-    /// stimulus batch for one structure.
+    /// Compiles the block program, resolves the energy tables and fetches the
+    /// run's stimulus batch for one structure.
     fn build(
         &self,
         activity: SimActivity,
@@ -197,8 +235,7 @@ impl SimCache {
         let resolved = tech
             .resolve(sim.compiled())
             .map_err(|error| error.to_string())?;
-        let stimulus =
-            SharedStimulus::generate(activity.seed, spec.total_bits() as usize, activity.vectors);
+        let stimulus = self.stimuli.batch(activity, spec.total_bits() as usize);
         Ok(SimEntry {
             cell_ops: sim.compiled().cell_ops(),
             sim,
@@ -245,4 +282,64 @@ fn evaluate(entry: &SimEntry, netlist: &Netlist, spec: &InputSpec) -> f64 {
         rates[net.index()] = counter.toggle_rate(net);
     }
     simulated_energy(entry.sim.compiled(), &entry.resolved, &rates) * entry.voltage * entry.voltage
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpsyn_baselines::Flow;
+
+    #[test]
+    fn one_bank_shares_one_batch_across_caches_and_structures() {
+        let design = dpsyn_designs::mixed_poly();
+        let tech = TechLibrary::lcbg10pv_like();
+        let activity = SimActivity {
+            seed: 5,
+            vectors: 256,
+        };
+        let results: Vec<_> = [Flow::Conventional, Flow::FaAot]
+            .iter()
+            .map(|flow| {
+                flow.run(design.expr(), design.spec(), design.output_width(), &tech)
+                    .expect("flow runs")
+            })
+            .collect();
+        assert_ne!(
+            results[0].netlist.structural_hash(),
+            results[1].netlist.structural_hash(),
+            "two different structures of one design"
+        );
+        let simulate = |cache: &mut SimCache<'_>, index: usize| {
+            let result = &results[index];
+            let (power, outcome) = cache
+                .simulate(
+                    activity,
+                    &result.netlist,
+                    &result.word_map,
+                    design.spec(),
+                    &tech,
+                )
+                .expect("simulation runs");
+            assert_eq!(outcome, SimOutcome::Built);
+            power
+        };
+        let batch = |cache: &SimCache<'_>| {
+            let entry = cache.entries.values().next().expect("one cached program");
+            Arc::clone(&entry.stimulus)
+        };
+        let bank = StimulusBank::default();
+        let mut shared = [SimCache::new(&bank), SimCache::new(&bank)];
+        let powers = [simulate(&mut shared[0], 0), simulate(&mut shared[1], 1)];
+        assert!(
+            Arc::ptr_eq(&batch(&shared[0]), &batch(&shared[1])),
+            "both caches hold the bank's one batch"
+        );
+        // Separately drawn batches simulate to the same bits.
+        for (index, power) in powers.iter().enumerate() {
+            let own_bank = StimulusBank::default();
+            let mut separate = SimCache::new(&own_bank);
+            assert_eq!(simulate(&mut separate, index).to_bits(), power.to_bits());
+            assert!(!Arc::ptr_eq(&batch(&separate), &batch(&shared[0])));
+        }
+    }
 }

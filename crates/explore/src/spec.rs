@@ -145,31 +145,15 @@ impl fmt::Display for BiasProfile {
     fmt_profile_display!();
 }
 
-/// How an idle worker of the work-stealing engine picks the victim it steals a
-/// chunk from. Both policies steal from the **top** (back) of the victim's deque —
-/// the chunk farthest from what the victim's compiled cache is currently warm for —
-/// and neither affects results, only wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// Steal from the worker with the most queued chunks (the default): the victim
-    /// that would otherwise hold the longest tail of unstarted work.
-    #[default]
-    BusiestVictim,
-    /// Scan the other workers round-robin starting after the thief's own index and
-    /// steal from the first non-empty queue: cheaper victim selection (no full
-    /// scan), at the cost of occasionally picking a nearly-drained victim.
-    RoundRobin,
-}
-
 /// The simulated switching-activity metric of a sweep: when attached to a
 /// specification, every evaluated point is additionally simulated on the SIMD block
 /// engine of `dpsyn-sim` under `vectors` seeded biased stimulus vectors, producing a
 /// `simulated_switch_power` beside the analytic power figure.
 ///
-/// One compiled block program and one pre-drawn stimulus batch are shared by every
-/// skew/bias point of a `(source, width, flow)` group, the same way timing and power
-/// reuse the primed delta state — see `crate::explore`'s engine docs. The seed and
-/// vector count are part of every persistent-store key (the stimulus digest), so a
+/// A worker compiles one block program per `(source, width, flow)` group and reuses
+/// it for every skew/bias point of the group; one stimulus batch per input bit
+/// count is drawn once per run and shared by every worker. The seed and vector
+/// count are part of every persistent-store key (the stimulus digest), so a
 /// simulated run can never alias a non-simulated one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimActivity {
@@ -179,13 +163,6 @@ pub struct SimActivity {
     /// a transition).
     pub vectors: usize,
 }
-
-/// Default over-partitioning factor: each `(source, width, flow)` group is cut into
-/// up to `threads × 4` chunks (capped at the group length). Finer chunks let the
-/// work-stealing scheduler re-balance a dominant group's tail, and cost nothing when
-/// unstolen — a worker's compiled cache survives across its consecutive same-group
-/// chunks, so only the first chunk per worker pays the full prime.
-pub(crate) const DEFAULT_OVERPARTITION: usize = 4;
 
 /// The full description of one design-space exploration.
 ///
@@ -226,16 +203,12 @@ pub struct ExplorationSpec {
     pub(crate) tech: TechLibrary,
     pub(crate) seed: u64,
     pub(crate) threads: usize,
-    pub(crate) steal_policy: StealPolicy,
-    pub(crate) overpartition: usize,
     /// Whether every evaluated point keeps its full [`dpsyn_baselines::FlowResult`].
     ///
     /// This is the **single** storage of the flag: the builder wraps a spec and
-    /// writes it here directly, so there is no second copy to keep in sync. The
-    /// engine honours it on every path — points evaluated through the per-worker
-    /// compiled-program cache's delta path still retain a full artifact (the point's
-    /// own synthesized netlist and word map plus the shared compiled program),
-    /// bit-identical to what the non-cached path would have produced.
+    /// writes it here directly, so there is no second copy to keep in sync. A
+    /// retained artifact is the very `FlowResult` the point's metrics were read
+    /// from, bit-identical to an independent [`dpsyn_baselines::Flow::run`].
     pub(crate) retain_artifacts: bool,
     /// Memo file of the persistent cross-run result store, when one is attached.
     /// `None` (the default) runs the exploration without any persistence, exactly
@@ -259,17 +232,6 @@ impl ExplorationSpec {
     /// The worker count the engine will use.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The steal policy of the work-stealing scheduler.
-    pub fn steal_policy(&self) -> StealPolicy {
-        self.steal_policy
-    }
-
-    /// The over-partitioning factor: each `(source, width, flow)` group is cut into
-    /// at most `threads × overpartition` chunks (capped at the group length).
-    pub fn overpartition(&self) -> usize {
-        self.overpartition
     }
 
     /// The technology library every flow synthesizes against.
@@ -406,8 +368,6 @@ impl Default for ExplorationSpecBuilder {
                 tech: TechLibrary::lcbg10pv_like(),
                 seed: 1,
                 threads: 1,
-                steal_policy: StealPolicy::default(),
-                overpartition: DEFAULT_OVERPARTITION,
                 retain_artifacts: false,
                 store_path: None,
                 sim_activity: None,
@@ -515,32 +475,11 @@ impl ExplorationSpecBuilder {
         self
     }
 
-    /// Sets the work-stealing victim-selection policy (default:
-    /// [`StealPolicy::BusiestVictim`]). Steal policies affect only scheduling —
-    /// results stay bit-identical under every policy.
-    pub fn steal_policy(mut self, policy: StealPolicy) -> Self {
-        self.spec.steal_policy = policy;
-        self
-    }
-
-    /// Sets the over-partitioning factor (default: 4): each `(source, width, flow)`
-    /// group is cut into at most `threads × overpartition` chunks, capped at the
-    /// group length, so stealing can re-balance a dominant group's tail. `1`
-    /// reproduces one-chunk-per-worker splitting; larger factors trade finer
-    /// balancing against more (cheap) chunk claims. Like the steal policy, the
-    /// factor never changes results.
-    pub fn overpartition(mut self, overpartition: usize) -> Self {
-        self.spec.overpartition = overpartition;
-        self
-    }
-
     /// Keeps the synthesized netlist of every point in the results (default: false).
     /// Needed by equivalence cross-checks; large sweeps should leave this off.
     ///
-    /// The flag is honoured uniformly: points the engine evaluates through the
-    /// compiled-program cache's delta path retain exactly the same full per-point
-    /// artifact (their own netlist and word map plus the shared compiled program) as
-    /// points that ran the full analysis bundle.
+    /// Every point retains the `FlowResult` its metrics were read from: its own
+    /// netlist, word map and compiled program.
     pub fn retain_artifacts(mut self, retain: bool) -> Self {
         self.spec.retain_artifacts = retain;
         self
@@ -585,7 +524,7 @@ impl ExplorationSpecBuilder {
     /// # Errors
     ///
     /// Returns a typed [`ExploreError`] when the `threads` field is explicitly zero,
-    /// the `overpartition` factor is zero, a width is zero, a workload source lacks
+    /// a width is zero, a workload source lacks
     /// widths or operands, a skew/bias profile is invalid or conflicts with another,
     /// a simulated-activity request asks for fewer than 2 vectors, or the matrix
     /// enumerates no jobs.
@@ -593,13 +532,10 @@ impl ExplorationSpecBuilder {
         self.spec.threads = match self.threads {
             Some(0) => return Err(ExploreError::ZeroWorkers),
             Some(threads) => threads,
-            // Unset: one worker per available core — the work-stealing scheduler
-            // keeps them all fed and results are worker-count independent anyway.
+            // Unset: one worker per available core — the shared job cursor keeps
+            // them all fed and results are worker-count independent anyway.
             None => std::thread::available_parallelism().map_or(1, |cores| cores.get()),
         };
-        if self.spec.overpartition == 0 {
-            return Err(ExploreError::ZeroOverpartition);
-        }
         if self.spec.widths.contains(&0) {
             return Err(ExploreError::ZeroWidth);
         }

@@ -1,13 +1,12 @@
 //! The persistent cross-run evaluation store.
 //!
-//! PR 5/6 made repeated sweep points cheap *within* one [`explore`](crate::explore)
-//! call (per-worker compiled-program cache + delta reruns), but every process still
-//! re-evaluated the whole matrix from scratch. This module promotes that reuse
-//! across runs, processes and clients: a [`ResultStore`] memoizes the analysed
-//! figures of every evaluated point under an exact [`EvalKey`] and persists them in
-//! a versioned on-disk memo file, so a warm-store sweep collapses to near-lookup
-//! cost while its output stays **byte-identical** to a cold run (the stored figures
-//! are f64 bit patterns, and the summary is a pure function of the points).
+//! Without it every [`explore`](crate::explore) call re-evaluates the whole matrix
+//! from scratch. This module makes evaluations reusable across runs, processes and
+//! clients: a [`ResultStore`] memoizes the analysed figures of every evaluated
+//! point under an exact [`EvalKey`] and persists them in a versioned on-disk memo
+//! file, so a warm-store sweep collapses to near-lookup cost while its output stays
+//! **byte-identical** to a cold run (the stored figures are f64 bit patterns, and
+//! the summary is a pure function of the points).
 //!
 //! # The evaluation key
 //!
@@ -18,7 +17,7 @@
 //!   issue of record specifies: the structural hash, a 128-bit fingerprint of the
 //!   **exact** structural serialization ([`Netlist::structural_words`] — the
 //!   lossless, versioned counterpart of the folded `cell_ops` identity the
-//!   per-worker cache verifies), the technology-library identity digest
+//!   per-worker sim cache verifies), the technology-library identity digest
 //!   ([`TechLibrary::identity_digest`](dpsyn_tech::TechLibrary::identity_digest)),
 //!   the flow name, and a digest of the per-net input profiles. This serves the
 //!   synthesize-then-analyse flows (`conventional`, `csa_opt`): a warm hit skips the

@@ -1,15 +1,12 @@
-//! Pins the engine's compiled-program cache + delta-evaluation path to the plain
-//! per-job full path: every evaluated point — metrics *and* retained artifact — must
-//! be bit-identical to an independent `Flow::run` of the same job, no matter whether
-//! the engine evaluated it through a full bundle or a cached delta rerun.
+//! Pins the engine's per-point evaluation to an independent `Flow::run`: every
+//! evaluated point — metrics *and* retained artifact — must be bit-identical to a
+//! direct run of the same job's flow on the same materialized design.
 //!
-//! The matrix deliberately crosses profile axes with the two module-binding flows
-//! (`Conventional` synthesizes profile-invariant structures — guaranteed cache hits;
-//! `CsaOpt`'s structure shifts with the arrival profile — exercising the structural
-//! verification fallback) plus an FA-tree flow (always pre-analysed). Two workload
-//! widths push the number of distinct `CsaOpt` structures a single worker sees well
-//! past the cache bound, so the run also churns through evictions and
-//! recency-refreshing replacements — none of which may perturb a single bit.
+//! The matrix crosses profile axes with both engine paths: the two module-binding
+//! flows (`Conventional`, `CsaOpt`) reach the engine unanalysed and are analysed by
+//! it after synthesis, while the FA-tree flow (`FaAot`) analyses during synthesis.
+//! Fixed designs and a workload at two widths, at one and three workers, cover the
+//! design materialization and the cross-thread result slots.
 
 use dpsyn_explore::{explore, BiasProfile, ExplorationSpec, Flow, SkewProfile};
 

@@ -57,18 +57,6 @@ fn unset_threads_default_to_the_available_parallelism() {
 }
 
 #[test]
-fn zero_overpartition() {
-    let error = ExplorationSpec::builder()
-        .design(dpsyn_designs::x_squared())
-        .flow(Flow::FaAot)
-        .overpartition(0)
-        .build()
-        .expect_err("a zero overpartition factor must not build");
-    assert!(matches!(error, ExploreError::ZeroOverpartition));
-    assert!(error.to_string().contains("`overpartition`"));
-}
-
-#[test]
 fn zero_width_on_the_width_axis() {
     let error = ExplorationSpec::builder()
         .sum_workload(4)
@@ -229,7 +217,6 @@ fn error_display_is_covered_for_every_variant() {
     let variants: Vec<ExploreError> = vec![
         ExploreError::EmptyMatrix,
         ExploreError::ZeroWorkers,
-        ExploreError::ZeroOverpartition,
         ExploreError::ZeroWidth,
         ExploreError::MissingWidths,
         ExploreError::EmptySource,

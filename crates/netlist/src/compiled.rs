@@ -427,7 +427,7 @@ impl CompiledNetlist {
     /// excluded). Equal to [`Netlist::structural_hash`] of the originating netlist,
     /// so a freshly synthesized netlist can be matched against a cached compiled
     /// program **without recompiling it** — the key of the explorer's per-worker
-    /// compiled-program cache. Cache consumers must still verify candidates
+    /// sim cache. Cache consumers must still verify candidates
     /// structurally (hash equality is necessary, not sufficient).
     ///
     /// Memoized at compile time, so this is a free read — the incremental analyses
